@@ -84,7 +84,6 @@
 
 pub mod campaign;
 pub mod coordinate;
-pub mod json;
 pub mod metrics;
 pub mod pareto;
 pub mod report;

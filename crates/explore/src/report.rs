@@ -1,14 +1,17 @@
 //! Campaign results: per-point records, the campaign report, streaming
 //! sinks, and the hand-rolled JSON serialization **and parsing**
 //! (consistent with the repository's `BENCH_*.json` files — no serde in
-//! this workspace; the reader in [`crate::json`] mirrors the writer here,
-//! which is what makes reports resumable and shard reports mergeable).
+//! this workspace). Reports are read back through the workspace's one
+//! JSON reader, [`noc_telemetry::json`], whose exact `u64` integers and
+//! shortest-round-trip floats make `to_json → from_json → to_json`
+//! byte-identical — which is what makes reports resumable and shard
+//! reports mergeable.
 
 use std::io::Write;
 
-use crate::json::JsonValue;
 use crate::metrics::FrontMetrics;
 use crate::pareto::{ObjectiveKind, ParetoFront};
+use noc_telemetry::json::{self, JsonValue};
 
 /// Schema version written into every report by
 /// [`CampaignReport::to_json`]. The version is a single major: any report
@@ -392,9 +395,13 @@ impl PointRecord {
             kinds
                 .iter()
                 .map(|k| {
+                    // A successful point's objectives are finite (the
+                    // campaign's Pareto front rejects anything else), so
+                    // `null` or an overflowing literal is a corruption.
                     v.get(k.label())
-                        .and_then(parse_f64)
-                        .ok_or_else(|| format!("point missing objective '{}'", k.label()))
+                        .and_then(JsonValue::as_f64)
+                        .filter(|x| x.is_finite())
+                        .ok_or_else(|| format!("point missing finite objective '{}'", k.label()))
                 })
                 .collect::<Result<Vec<f64>, String>>()?
         };
@@ -1029,17 +1036,9 @@ fn push_kv(s: &mut String, key: &str, raw_value: &str) {
 
 /// `value` as a quoted, escaped JSON string literal.
 fn json_string(value: &str) -> String {
-    let escaped: String = value
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
+    let mut out = String::with_capacity(value.len() + 2);
+    json::push_string(&mut out, value);
+    out
 }
 
 fn push_str_kv(s: &mut String, key: &str, value: &str) {
@@ -1233,6 +1232,40 @@ mod tests {
         );
         let err = CampaignReport::from_json(&garbage).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_objectives_are_rejected_not_folded() {
+        // Folding a NaN or infinite objective into a front panics, so the
+        // reader refuses it on successful points.
+        let json = record().to_json(&ObjectiveKind::DEFAULT);
+        let label = ObjectiveKind::DEFAULT[0].label();
+        let at = json.find(&format!("\"{label}\": ")).unwrap() + label.len() + 4;
+        let end = at + json[at..].find(',').unwrap();
+        for bad in ["null", "1e999"] {
+            let edited = format!("{}{bad}{}", &json[..at], &json[end..]);
+            let err = CampaignReport::from_json_lines(
+                &format!("{edited}\n{json}\n"),
+                &ObjectiveKind::DEFAULT,
+            )
+            .unwrap_err();
+            assert!(err.contains("finite objective"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn integer_fields_reject_float_lexemes() {
+        // Counts and ids are written as integer lexemes; a float spelling
+        // of an integral value is not one.
+        let json = report().to_json();
+        for spelling in ["2.0", "2e0", "-0"] {
+            let edited = json.replacen("\"threads\": 2", &format!("\"threads\": {spelling}"), 1);
+            let err = CampaignReport::from_json(&edited).unwrap_err();
+            assert!(err.contains("threads"), "{spelling}: {err}");
+        }
+        // Float fields accept integer lexemes (Display writes 3.0 as 3).
+        let edited = json.replacen("\"wall_ms\": 12.5", "\"wall_ms\": 12", 1);
+        assert_eq!(CampaignReport::from_json(&edited).unwrap().wall_ms, 12.0);
     }
 
     #[test]

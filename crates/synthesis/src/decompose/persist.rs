@@ -31,17 +31,21 @@
 //! ```
 //!
 //! * `key` — the remaining graph's edge-bitset words
-//!   ([`BitSetKey::words`]), least-significant first, as **hex strings**:
-//!   the words are full 64-bit patterns, and JSON numbers routed through
-//!   `f64` (as the workspace's report readers do) lose bits above 2⁵³.
+//!   ([`BitSetKey::words`]), least-significant first, as **hex strings**.
+//!   The shared reader ([`noc_telemetry::json`]) reads integers as exact
+//!   `u64`s, so plain numbers would survive too; the hex form stays so
+//!   existing cache files keep loading.
 //! * each image is a two-element array `[mapping, edges]`: the mapping's
 //!   image vertices in pattern order, then the covered edge list
 //!   flattened as `src, dst` pairs.
 //!
-//! The reader is strict — structural *and* semantic validation (vertex
-//! ids in range, injective mappings matching the entry's declared
-//! `arity`, covered edges present in the keyed graph), because entries
-//! feed the decomposition search unchecked. Two layers cover the
+//! The reader parses the file with the shared JSON reader and walks the
+//! tree strictly — structural *and* semantic validation (the writer's
+//! exact key order, `vertex_count * vertex_count` edge bits in `usize`
+//! range with every key bit below it, vertex ids in range, injective
+//! mappings matching the entry's declared `arity`, covered edges present
+//! in the keyed graph), because entries feed the decomposition search
+//! unchecked. Two layers cover the
 //! primitive-binding hazard (entries are keyed by [`PrimitiveId`], which
 //! is only meaningful relative to a library): the file's `library`
 //! fingerprint pins the **standard** library across builds, and every
@@ -58,6 +62,7 @@ use std::sync::Arc;
 
 use noc_graph::{iso::Mapping, BitSetKey, Edge, NodeId};
 use noc_primitives::{CommLibrary, PrimitiveId};
+use noc_telemetry::json::JsonValue;
 
 use super::cache::MatchCache;
 
@@ -173,31 +178,24 @@ pub(crate) fn write(cache: &MatchCache) -> String {
 
 /// Parses a document written by [`write`] and inserts every entry into
 /// `cache` as a **warm** (loaded) entry. Strict: structural errors,
-/// unknown markers, newer schema versions and semantically invalid
-/// entries (out-of-range vertices, non-injective mappings) all fail.
+/// unknown or reordered keys, unknown markers, newer schema versions and
+/// semantically invalid entries (out-of-range vertices, non-injective
+/// mappings, edges missing from the key) all fail.
 pub(crate) fn read(text: &str, cache: &MatchCache) -> Result<(), String> {
-    let mut p = Reader {
-        bytes: text.as_bytes(),
-        at: 0,
-    };
-    p.ws();
-    p.expect(b'{')?;
-    p.key("cache")?;
-    let marker = p.string()?;
+    let tree = JsonValue::parse(text).map_err(|e| e.to_string())?;
+    let [marker, version, fingerprint, sizes] =
+        object(&tree, ["cache", "schema_version", "library", "sizes"])?;
+    let marker = string(marker)?;
     if marker != "noc_match_cache" {
         return Err(format!("not a match-cache file (marker '{marker}')"));
     }
-    p.comma()?;
-    p.key("schema_version")?;
-    let version = p.integer()?;
+    let version = integer(version)?;
     if version > CACHE_SCHEMA_VERSION {
         return Err(format!(
             "cache schema v{version} is newer than this reader understands (v{CACHE_SCHEMA_VERSION})"
         ));
     }
-    p.comma()?;
-    p.key("library")?;
-    let fingerprint = p.string()?;
+    let fingerprint = string(fingerprint)?;
     let expected = library_fingerprint(&CommLibrary::standard());
     if fingerprint != expected {
         return Err(format!(
@@ -206,111 +204,100 @@ pub(crate) fn read(text: &str, cache: &MatchCache) -> Result<(), String> {
              its PrimitiveId-keyed entries would bind to the wrong patterns"
         ));
     }
-    p.comma()?;
-    p.key("sizes")?;
-    p.array(|p| {
-        p.expect(b'{')?;
-        p.key("vertex_count")?;
-        let n = p.integer()? as usize;
-        if n == 0 {
-            return Err("vertex_count must be positive".to_string());
-        }
-        p.comma()?;
-        p.key("graphs")?;
-        p.array(|p| {
-            p.expect(b'{')?;
-            p.key("key")?;
-            let mut words = Vec::new();
-            p.array(|p| {
-                let hex = p.string()?;
-                words.push(
-                    u64::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad edge-key word '{hex}'"))?,
-                );
-                Ok(())
-            })?;
+    for size in array(sizes)? {
+        let [n, graphs] = object(size, ["vertex_count", "graphs"])?;
+        let n = index(n)?;
+        // Edge bits are `src * n + dst`, so `n * n` must fit a usize.
+        let bits = n
+            .checked_mul(n)
+            .filter(|_| n > 0)
+            .ok_or_else(|| format!("vertex_count {n} out of range"))?;
+        for graph in array(graphs)? {
+            let [key, primitives] = object(graph, ["key", "primitives"])?;
+            let words = array(key)?
+                .iter()
+                .map(|word| {
+                    let hex = string(word)?;
+                    u64::from_str_radix(hex, 16).map_err(|_| format!("bad edge-key word '{hex}'"))
+                })
+                .collect::<Result<Vec<u64>, String>>()?;
             let key = BitSetKey::from_words(words);
-            p.comma()?;
-            p.key("primitives")?;
-            p.array(|p| {
-                p.expect(b'{')?;
-                p.key("id")?;
-                let primitive = PrimitiveId(p.integer()? as usize);
-                p.comma()?;
-                p.key("arity")?;
-                let arity = p.integer()? as usize;
+            // A key bit at or beyond `n * n` denotes no edge of an
+            // n-vertex graph.
+            if let Some(&top) = key.words().last() {
+                let top_bit = 64 * (key.words().len() - 1) + 63 - top.leading_zeros() as usize;
+                if top_bit >= bits {
+                    return Err(format!(
+                        "edge-key bit {top_bit} out of range for an {n}-vertex graph"
+                    ));
+                }
+            }
+            for entry in array(primitives)? {
+                let [id, arity, images] = object(entry, ["id", "arity", "images"])?;
+                let primitive = PrimitiveId(index(id)?);
+                let arity = index(arity)?;
                 if arity == 0 || arity > n {
                     return Err(format!(
                         "arity {arity} out of range for an {n}-vertex graph"
                     ));
                 }
-                p.comma()?;
-                p.key("images")?;
-                let mut images: Vec<(Mapping, Vec<Edge>)> = Vec::new();
-                p.array(|p| {
-                    p.expect(b'[')?;
-                    p.ws();
-                    let map = p.vertex_list(n)?;
-                    if !injective(&map) {
-                        return Err("mapping repeats a target vertex".to_string());
-                    }
-                    // One enumeration = one pattern: every mapping must
-                    // have the entry's declared arity.
-                    if map.len() != arity {
-                        return Err(format!(
-                            "mapping arity {} does not match the entry's declared arity {arity}",
-                            map.len()
-                        ));
-                    }
-                    p.comma()?;
-                    let flat = p.vertex_list(n)?;
-                    if flat.len() % 2 != 0 {
-                        return Err("edge list must hold src,dst pairs".to_string());
-                    }
-                    let edges: Vec<Edge> = flat.chunks(2).map(|p| Edge::new(p[0], p[1])).collect();
-                    // A covered edge must exist in the remaining graph the
-                    // key denotes (edge bit = src*n + dst) — the search
-                    // subtracts these edges unchecked and would panic on a
-                    // fabricated one.
-                    for e in &edges {
-                        let bit = e.src.index() * n + e.dst.index();
-                        let present = key
-                            .words()
-                            .get(bit / 64)
-                            .is_some_and(|w| w & (1 << (bit % 64)) != 0);
-                        if !present {
-                            return Err(format!(
-                                "covered edge ({}, {}) is not an edge of the keyed graph",
-                                e.src.index(),
-                                e.dst.index()
-                            ));
-                        }
-                    }
-                    images.push((Mapping::new(map), edges));
-                    p.ws();
-                    p.expect(b']')?;
-                    Ok(())
-                })?;
+                let images = array(images)?
+                    .iter()
+                    .map(|image| read_image(image, n, arity, &key))
+                    .collect::<Result<Vec<_>, String>>()?;
                 cache.insert_loaded(n, key.clone(), primitive, arity, Arc::new(images));
-                p.ws();
-                p.expect(b'}')?;
-                Ok(())
-            })?;
-            p.ws();
-            p.expect(b'}')?;
-            Ok(())
-        })?;
-        p.ws();
-        p.expect(b'}')?;
-        Ok(())
-    })?;
-    p.ws();
-    p.expect(b'}')?;
-    p.ws();
-    if p.at != p.bytes.len() {
-        return Err(p.fail("trailing characters after cache document"));
+            }
+        }
     }
     Ok(())
+}
+
+/// One `[mapping, edges]` image of an `arity`-vertex pattern in the
+/// `n`-vertex graph `key`.
+fn read_image(
+    image: &JsonValue,
+    n: usize,
+    arity: usize,
+    key: &BitSetKey,
+) -> Result<(Mapping, Vec<Edge>), String> {
+    let [map, flat] = array(image)? else {
+        return Err("an image is a [mapping, edges] pair".to_string());
+    };
+    let map = vertex_list(map, n)?;
+    if !injective(&map) {
+        return Err("mapping repeats a target vertex".to_string());
+    }
+    // One enumeration = one pattern: every mapping must have the entry's
+    // declared arity.
+    if map.len() != arity {
+        return Err(format!(
+            "mapping arity {} does not match the entry's declared arity {arity}",
+            map.len()
+        ));
+    }
+    let flat = vertex_list(flat, n)?;
+    if flat.len() % 2 != 0 {
+        return Err("edge list must hold src,dst pairs".to_string());
+    }
+    let edges: Vec<Edge> = flat.chunks(2).map(|p| Edge::new(p[0], p[1])).collect();
+    // A covered edge must exist in the remaining graph the key denotes
+    // (edge bit = src*n + dst) — the search subtracts these edges
+    // unchecked and would panic on a fabricated one.
+    for e in &edges {
+        let bit = e.src.index() * n + e.dst.index();
+        let present = key
+            .words()
+            .get(bit / 64)
+            .is_some_and(|w| w & (1 << (bit % 64)) != 0);
+        if !present {
+            return Err(format!(
+                "covered edge ({}, {}) is not an edge of the keyed graph",
+                e.src.index(),
+                e.dst.index()
+            ));
+        }
+    }
+    Ok((Mapping::new(map), edges))
 }
 
 fn injective(images: &[NodeId]) -> bool {
@@ -319,121 +306,51 @@ fn injective(images: &[NodeId]) -> bool {
     sorted.windows(2).all(|w| w[0] != w[1])
 }
 
-/// A tiny strict reader for exactly the grammar [`write`] emits: objects
-/// with known keys, arrays, unescaped strings and unsigned integers. Not
-/// a general JSON parser — the report-side reader in `noc-explore` parses
-/// numbers through `f64`, which cannot carry 64-bit edge-key words.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// The values of an object whose keys are exactly `keys`, in order (the
+/// writer never emits unknown or reordered keys, so a fixed expectation
+/// is both simpler and stricter).
+fn object<'a, const N: usize>(
+    v: &'a JsonValue,
+    keys: [&str; N],
+) -> Result<[&'a JsonValue; N], String> {
+    let fields = v.as_object().ok_or("expected an object")?;
+    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    if found != keys {
+        return Err(format!("expected keys {keys:?}, found {found:?}"));
+    }
+    Ok(std::array::from_fn(|i| &fields[i].1))
 }
 
-impl<'a> Reader<'a> {
-    fn fail(&self, message: &str) -> String {
-        format!("{message} at byte {}", self.at)
-    }
+fn array(v: &JsonValue) -> Result<&[JsonValue], String> {
+    v.as_array().ok_or_else(|| "expected an array".to_string())
+}
 
-    fn ws(&mut self) {
-        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
+fn string(v: &JsonValue) -> Result<&str, String> {
+    v.as_str().ok_or_else(|| "expected a string".to_string())
+}
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.at) == Some(&byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected '{}'", byte as char)))
-        }
-    }
+fn integer(v: &JsonValue) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| "expected an unsigned integer".to_string())
+}
 
-    fn comma(&mut self) -> Result<(), String> {
-        self.expect(b',')
-    }
+fn index(v: &JsonValue) -> Result<usize, String> {
+    v.as_usize()
+        .ok_or_else(|| "expected an unsigned integer in usize range".to_string())
+}
 
-    /// Consumes `"name":` (the writer never emits unknown or reordered
-    /// keys, so a fixed expectation is both simpler and stricter).
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        let found = self.string()?;
-        if found != name {
-            return Err(self.fail(&format!("expected key '{name}', found '{found}'")));
-        }
-        self.expect(b':')
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.at;
-        loop {
-            match self.bytes.get(self.at) {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => return Err(self.fail("escapes are not used in cache files")),
-                Some(_) => self.at += 1,
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| self.fail("invalid UTF-8 in string"))?
-            .to_string();
-        self.at += 1;
-        Ok(s)
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.at;
-        while matches!(self.bytes.get(self.at), Some(b'0'..=b'9')) {
-            self.at += 1;
-        }
-        if start == self.at {
-            return Err(self.fail("expected an unsigned integer"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .expect("ASCII digits")
-            .parse::<u64>()
-            .map_err(|_| self.fail("integer out of range"))
-    }
-
-    /// `[v, v, ...]` with every vertex id checked against `n`.
-    fn vertex_list(&mut self, n: usize) -> Result<Vec<NodeId>, String> {
-        let mut out = Vec::new();
-        self.array(|p| {
-            let v = p.integer()? as usize;
+/// `[v, v, ...]` with every vertex id checked against `n`.
+fn vertex_list(v: &JsonValue, n: usize) -> Result<Vec<NodeId>, String> {
+    array(v)?
+        .iter()
+        .map(|v| {
+            let v = index(v)?;
             if v >= n {
                 return Err(format!("vertex {v} out of range for {n}-vertex graph"));
             }
-            out.push(NodeId(v));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// `[` item `,` item ... `]` with `item` consuming one element.
-    fn array(
-        &mut self,
-        mut item: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.ws();
-        if self.bytes.get(self.at) == Some(&b']') {
-            self.at += 1;
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            self.ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.fail("expected ',' or ']' in array")),
-            }
-        }
-    }
+            Ok(NodeId(v))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -551,6 +468,39 @@ mod tests {
         let err = SharedMatchCache::from_persist_json(&foreign_lib, 64).unwrap_err();
         assert!(err.contains("different primitive library"), "{err}");
         assert!(SharedMatchCache::from_persist_json(&format!("{json} x"), 64).is_err());
+    }
+
+    #[test]
+    fn reader_rejects_vertex_counts_beyond_the_edge_bit_range() {
+        let json = populated().to_persist_json();
+        // n = 2³³: n * n overflows, and the covered edge (2³², 4) would
+        // overflow `src * n + dst` if the count were accepted.
+        let huge = json
+            .replacen("\"vertex_count\": 8", "\"vertex_count\": 8589934592", 1)
+            .replacen("[0, 1, 1, 4]", "[0, 1, 4294967296, 4]", 1);
+        let err = SharedMatchCache::from_persist_json(&huge, 64).unwrap_err();
+        assert!(err.contains("vertex_count"), "{err}");
+        let zero = json.replacen("\"vertex_count\": 8", "\"vertex_count\": 0", 1);
+        assert!(SharedMatchCache::from_persist_json(&zero, 64).is_err());
+        // The n=10 key has bit 65 set; at n=8 (64 edge bits) that bit
+        // names no edge.
+        let shrunk = json.replacen("\"vertex_count\": 10", "\"vertex_count\": 8", 1);
+        let err = SharedMatchCache::from_persist_json(&shrunk, 64).unwrap_err();
+        assert!(err.contains("edge-key bit 65"), "{err}");
+    }
+
+    #[test]
+    fn reader_requires_the_writer_key_order() {
+        let json = populated().to_persist_json();
+        let swapped = json.replacen("{\"id\": 0, \"arity\": 3,", "{\"arity\": 3, \"id\": 0,", 1);
+        let err = SharedMatchCache::from_persist_json(&swapped, 64).unwrap_err();
+        assert!(err.contains("expected keys"), "{err}");
+        let extra = json.replacen("\"sizes\":", "\"extra\": 1, \"sizes\":", 1);
+        assert!(SharedMatchCache::from_persist_json(&extra, 64).is_err());
+        // Strings are ordinary JSON strings: escapes decode.
+        let escaped = json.replacen("noc_match_cache", "noc\\u005fmatch_cache", 1);
+        let loaded = SharedMatchCache::from_persist_json(&escaped, 64).unwrap();
+        assert_eq!(loaded.to_persist_json(), json);
     }
 
     #[test]

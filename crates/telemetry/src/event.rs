@@ -9,10 +9,12 @@
 //!
 //! Like every artifact format in this workspace the codec is hand-rolled
 //! (the build environment has no registry access, so there is no serde):
-//! a small recursive-descent reader over the event grammar, mirroring
-//! `noc_explore::json` in spirit but specialized to one schema.
+//! lines are parsed by the shared [`json`](crate::json) reader, and
+//! [`Event::from_json`] checks the event schema on the parsed tree.
 
 use std::fmt;
+
+use crate::json::{self, JsonValue};
 
 /// A typed field value on an [`Event`].
 ///
@@ -181,7 +183,7 @@ impl Event {
         out.push_str(",\"kind\":\"");
         out.push_str(self.kind.label());
         out.push_str("\",\"name\":");
-        push_json_string(&mut out, &self.name);
+        json::push_string(&mut out, &self.name);
         if let Some(dur) = self.dur_us {
             out.push_str(",\"dur_us\":");
             out.push_str(&dur.to_string());
@@ -196,12 +198,12 @@ impl Event {
                 if i > 0 {
                     out.push(',');
                 }
-                push_json_string(&mut out, key);
+                json::push_string(&mut out, key);
                 out.push(':');
                 match value {
                     Field::U64(v) => out.push_str(&v.to_string()),
                     Field::F64(v) => push_json_f64(&mut out, *v),
-                    Field::Str(s) => push_json_string(&mut out, s),
+                    Field::Str(s) => json::push_string(&mut out, s),
                     Field::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
                 }
             }
@@ -211,23 +213,84 @@ impl Event {
         out
     }
 
-    /// Parses one JSON line produced by [`Event::to_json`].
+    /// Parses one JSON line produced by [`Event::to_json`]: the header
+    /// keys are fixed (`seq`, `t_us`, `kind`, `name` required; `dur_us`,
+    /// `value`, `fields` optional; anything else rejected), and field
+    /// values must be scalars. Integer lexemes read as [`Field::U64`],
+    /// other numbers as [`Field::F64`] and `null` as NaN.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] naming the first malformed construct.
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
-        let mut parser = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
+        let fail = |message: String| ParseError { message };
+        let tree = JsonValue::parse(line).map_err(|e| fail(e.to_string()))?;
+        let JsonValue::Object(header) = tree else {
+            return Err(fail("expected an event object".into()));
         };
-        let event = parser.parse_event()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after event object"));
+        let u64_of = |key: &str, v: JsonValue| {
+            v.as_u64()
+                .ok_or_else(|| fail(format!("'{key}' must be an unsigned integer")))
+        };
+        let string_of = |key: &str, v: JsonValue| match v {
+            JsonValue::String(s) => Ok(s),
+            _ => Err(fail(format!("'{key}' must be a string"))),
+        };
+        let (mut seq, mut t_us, mut kind, mut name) = (None, None, None, None);
+        let (mut dur_us, mut value, mut fields) = (None, None, Vec::new());
+        for (key, v) in header {
+            match key.as_str() {
+                "seq" => seq = Some(u64_of(&key, v)?),
+                "t_us" => t_us = Some(u64_of(&key, v)?),
+                "kind" => {
+                    let label = string_of(&key, v)?;
+                    kind = Some(
+                        EventKind::from_label(&label)
+                            .ok_or_else(|| fail(format!("unknown kind '{label}'")))?,
+                    );
+                }
+                "name" => name = Some(string_of(&key, v)?),
+                "dur_us" => dur_us = Some(u64_of(&key, v)?),
+                "value" => value = Some(u64_of(&key, v)?),
+                "fields" => {
+                    let JsonValue::Object(pairs) = v else {
+                        return Err(fail("'fields' must be an object".into()));
+                    };
+                    fields = pairs
+                        .into_iter()
+                        .map(|(k, v)| match field(v) {
+                            Some(f) => Ok((k, f)),
+                            None => Err(fail(format!("field '{k}' must be a scalar"))),
+                        })
+                        .collect::<Result<_, ParseError>>()?;
+                }
+                other => return Err(fail(format!("unknown event key '{other}'"))),
+            }
         }
-        Ok(event)
+        let missing = |key: &str| fail(format!("event missing '{key}'"));
+        Ok(Event {
+            seq: seq.ok_or_else(|| missing("seq"))?,
+            t_us: t_us.ok_or_else(|| missing("t_us"))?,
+            kind: kind.ok_or_else(|| missing("kind"))?,
+            name: name.ok_or_else(|| missing("name"))?,
+            dur_us,
+            value,
+            fields,
+        })
     }
+}
+
+/// A scalar JSON value as a typed field: non-finite floats were written
+/// as `null`, so `null` reads back as NaN.
+fn field(v: JsonValue) -> Option<Field> {
+    Some(match v {
+        JsonValue::U64(n) => Field::U64(n),
+        JsonValue::F64(x) => Field::F64(x),
+        JsonValue::Null => Field::F64(f64::NAN),
+        JsonValue::String(s) => Field::Str(s),
+        JsonValue::Bool(b) => Field::Bool(b),
+        JsonValue::Array(_) | JsonValue::Object(_) => return None,
+    })
 }
 
 /// Renders events as a JSON-Lines document (one event per line, trailing
@@ -275,25 +338,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Appends `s` as a JSON string literal (quotes, escapes).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends a float so it re-reads as a float: Rust's shortest-round-trip
 /// `Display`, forced to carry a decimal point (or exponent); non-finite
 /// values become `null` (read back as NaN).
@@ -306,247 +350,6 @@ fn push_json_f64(out: &mut String, v: f64) {
     out.push_str(&s);
     if !s.contains(['.', 'e', 'E']) {
         out.push_str(".0");
-    }
-}
-
-/// Recursive-descent reader over one event line.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: format!("{message} at byte {}", self.pos),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn consume(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_event(&mut self) -> Result<Event, ParseError> {
-        let mut seq = None;
-        let mut t_us = None;
-        let mut kind = None;
-        let mut name = None;
-        let mut dur_us = None;
-        let mut value = None;
-        let mut fields = Vec::new();
-
-        self.expect(b'{')?;
-        if !self.consume(b'}') {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "seq" => seq = Some(self.parse_u64()?),
-                    "t_us" => t_us = Some(self.parse_u64()?),
-                    "kind" => {
-                        let label = self.parse_string()?;
-                        kind = Some(
-                            EventKind::from_label(&label)
-                                .ok_or_else(|| self.error(&format!("unknown kind '{label}'")))?,
-                        );
-                    }
-                    "name" => name = Some(self.parse_string()?),
-                    "dur_us" => dur_us = Some(self.parse_u64()?),
-                    "value" => value = Some(self.parse_u64()?),
-                    "fields" => fields = self.parse_fields()?,
-                    other => return Err(self.error(&format!("unknown event key '{other}'"))),
-                }
-                if self.consume(b'}') {
-                    break;
-                }
-                self.expect(b',')?;
-            }
-        }
-        Ok(Event {
-            seq: seq.ok_or_else(|| self.error("event missing 'seq'"))?,
-            t_us: t_us.ok_or_else(|| self.error("event missing 't_us'"))?,
-            kind: kind.ok_or_else(|| self.error("event missing 'kind'"))?,
-            name: name.ok_or_else(|| self.error("event missing 'name'"))?,
-            dur_us,
-            value,
-            fields,
-        })
-    }
-
-    fn parse_fields(&mut self) -> Result<Vec<(String, Field)>, ParseError> {
-        let mut fields = Vec::new();
-        self.expect(b'{')?;
-        if self.consume(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_field_value()?;
-            fields.push((key, value));
-            if self.consume(b'}') {
-                return Ok(fields);
-            }
-            self.expect(b',')?;
-        }
-    }
-
-    fn parse_field_value(&mut self) -> Result<Field, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Field::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Field::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Field::Bool(false))
-            }
-            Some(b'n') => {
-                // Non-finite floats serialize as null.
-                self.literal("null")?;
-                Ok(Field::F64(f64::NAN))
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.error("expected a field value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    /// A number: integers without '.', 'e' or a sign read as `U64`,
-    /// everything else as `F64` — matching what the writer emits.
-    fn parse_number(&mut self) -> Result<Field, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = self.bytes.get(start) == Some(&b'-');
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        if float {
-            text.parse::<f64>()
-                .map(Field::F64)
-                .map_err(|_| self.error(&format!("invalid float '{text}'")))
-        } else {
-            text.parse::<u64>()
-                .map(Field::U64)
-                .map_err(|_| self.error(&format!("invalid integer '{text}'")))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, ParseError> {
-        match self.parse_number()? {
-            Field::U64(v) => Ok(v),
-            _ => Err(self.error("expected an unsigned integer")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.error("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("non-scalar \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(
-                                self.error(&format!("unknown escape '\\{}'", other as char))
-                            );
-                        }
-                    }
-                }
-                // Multi-byte UTF-8: copy the whole scalar through.
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
     }
 }
 
@@ -647,6 +450,52 @@ mod tests {
         ] {
             assert!(Event::from_json(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn u64_extremes_round_trip_exactly() {
+        let event = Event {
+            seq: u64::MAX,
+            t_us: (1 << 53) + 1,
+            kind: EventKind::Gauge,
+            name: "x".into(),
+            dur_us: None,
+            value: Some(u64::MAX),
+            fields: vec![("id".into(), Field::U64(u64::MAX))],
+        };
+        let line = event.to_json();
+        let reread = Event::from_json(&line).unwrap();
+        assert_eq!(reread, event);
+        assert_eq!(reread.to_json(), line);
+    }
+
+    #[test]
+    fn integer_lexemes_beyond_u64_read_as_float_fields() {
+        let line =
+            r#"{"seq":0,"t_us":0,"kind":"event","name":"x","fields":{"big":18446744073709551616}}"#;
+        let event = Event::from_json(line).unwrap();
+        assert_eq!(
+            event.field("big"),
+            Some(&Field::F64(18446744073709551616.0))
+        );
+        // Header integers stay strict.
+        let header = r#"{"seq":18446744073709551616,"t_us":0,"kind":"event","name":"x"}"#;
+        assert!(Event::from_json(header).is_err());
+    }
+
+    #[test]
+    fn field_values_must_be_scalars_and_surrogate_pairs_decode() {
+        for bad in [
+            r#"{"seq":0,"t_us":0,"kind":"event","name":"x","fields":{"a":[1]}}"#,
+            r#"{"seq":0,"t_us":0,"kind":"event","name":"x","fields":{"a":{}}}"#,
+            r#"{"seq":0,"t_us":0,"kind":"event","name":"x","fields":[]}"#,
+            r#"[{"seq":0,"t_us":0,"kind":"event","name":"x"}]"#,
+            r#"{"seq":1.0,"t_us":0,"kind":"event","name":"x"}"#,
+        ] {
+            assert!(Event::from_json(bad).is_err(), "accepted: {bad}");
+        }
+        let line = r#"{"seq":0,"t_us":0,"kind":"event","name":"\ud83d\ude00"}"#;
+        assert_eq!(Event::from_json(line).unwrap().name, "😀");
     }
 
     #[test]

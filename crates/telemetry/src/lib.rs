@@ -35,6 +35,10 @@
 //! `telemetry.dropped` counter if anything was lost) — the JSON-Lines
 //! document written beside campaign reports by `explore … --trace`.
 //!
+//! The crate is also the zero-dependency home of the workspace's one JSON
+//! reader and string escaper ([`json`]), which reads traces, campaign
+//! reports and persisted match caches alike.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
+pub mod json;
 mod summary;
 
 pub use event::{read_jsonl, write_jsonl, Event, EventKind, Field, ParseError};
